@@ -17,6 +17,9 @@ import "sync"
 // Nothing is recycled for callers that never invoke EpochDone (tests,
 // one-shot collectives): the pool then degrades to tracked plain
 // allocation, and received payloads stay valid indefinitely.
+//
+// Each TCPTransport also owns one as its receive arena, filled by the
+// connection readers and recycled by the transport's EpochTick.
 type bufPool struct {
 	mu    sync.Mutex
 	freeF map[int][][]float64

@@ -16,8 +16,9 @@ import (
 // string like "crash@epoch=3". Surfaced as `cagnet-worker -chaos`.
 
 // epochTicker is implemented by transports that want to observe epoch
-// boundaries; Comm.EpochDone calls it once per epoch before the closing
-// barriers.
+// boundaries — FaultTransport's epoch-triggered events, TCPTransport's
+// receive-arena recycling; Comm.EpochDone calls it once per epoch before
+// the closing barriers. Decorators must forward it.
 type epochTicker interface{ EpochTick() }
 
 // aborter is implemented by transports that can broadcast a failure

@@ -41,6 +41,24 @@ import (
 // rounds, round k sending a token to (rank+2^k) mod P and waiting for one
 // from (rank−2^k) mod P.
 //
+// Receive path: the reader decodes a data frame's body in bulk, reading
+// decodeChunk-byte slabs into a per-connection scratch buffer and
+// converting each slab straight into the destination slices. Those
+// slices come from the transport's receive arena (a bufPool shared by the
+// connection readers), which EpochTick — called by Comm.EpochDone before
+// its first barrier — recycles as a whole. That is safe because by then
+// the rank has consumed every payload of the epoch, and no peer can send
+// a next-epoch frame before this rank enters the barrier; it is what
+// keeps received payloads valid until the next EpochDone and makes the
+// steady-state epoch allocation-free on the wire. A transport that is
+// never ticked (no EpochDone, or a decorator that does not forward the
+// tick) decodes into fresh slices and retains none: pooling switches on
+// at the first tick. A data frame whose header claims more than
+// maxFrameWords words is rejected before anything is allocated; the
+// reader posts the error naming the peer, and the next Recv from that
+// peer panics with it as a *PeerError. Send panics on a payload over the
+// same limit rather than truncate its counts into a corrupt frame.
+//
 // Failure model: a heartbeat goroutine sends a 'V' frame to every peer at
 // HeartbeatInterval, and every blocked Recv/Barrier enforces
 // ProgressTimeout against the peer's last-heard clock, so a dead, killed,
@@ -54,7 +72,8 @@ import (
 // Frames (all integers little-endian):
 //
 //	'D' u32 nFloats, u32 nInts, then nFloats float64 bit patterns and
-//	    nInts int64 values — one Payload, bit-exact.
+//	    nInts int64 values — one Payload, bit-exact. nFloats + nInts
+//	    must not exceed maxFrameWords.
 //	'B' barrier token, no body.
 //	'V' heartbeat, no body — refreshes the peer's last-heard clock.
 //	'A' u16 reasonLen, reason — the sending rank is failing; reason is
@@ -73,6 +92,18 @@ const (
 	frameHello     = 'H'
 	framePeers     = 'P'
 )
+
+// maxFrameWords bounds one data frame's float plus int count (1 GiB of
+// payload). A header claiming more is a corrupt or hostile frame; the
+// reader rejects it before allocating, and Send refuses to encode one.
+const maxFrameWords = 1 << 27
+
+// decodeChunk is the size of a connection's bulk-decode scratch buffer:
+// a data frame's body is read and converted decodeChunk bytes at a time.
+const decodeChunk = 32 << 10
+
+// barrierFrame is shared so that a barrier round allocates nothing.
+var barrierFrame = []byte{frameBarrier}
 
 // tcpInboxDepth bounds buffered received payloads per peer before the
 // reader goroutine stops draining the socket and TCP backpressure takes
@@ -139,6 +170,12 @@ type TCPTransport struct {
 	readErr     []chan error    // readErr[peer], posted once when reader exits
 	lastHeard   []atomic.Int64  // lastHeard[peer], UnixNano of last frame
 	sendBuf     []byte          // reused frame buffer (rank goroutine only)
+	watchdog    *time.Timer     // ProgressTimeout timer (rank goroutine only); nil when disabled
+
+	// arena holds the decoded payloads' slices once pooling is on; see
+	// EpochTick.
+	arena   *bufPool
+	pooling atomic.Bool
 
 	hbStop    chan struct{}
 	abortOnce sync.Once
@@ -160,14 +197,29 @@ func (t *TCPTransport) Size() int { return t.world }
 // frame is handed to the kernel: the caller may reuse or recycle p's
 // backing arrays immediately.
 func (t *TCPTransport) Send(dst int, p Payload) {
-	need := 9 + 8*len(p.Floats) + 8*len(p.Ints)
-	if cap(t.sendBuf) < need {
-		t.sendBuf = make([]byte, need)
+	t.sendBuf = encodeDataFrame(t.sendBuf, p, maxFrameWords)
+	if err := t.writeFrame(dst, t.sendBuf); err != nil {
+		panic(t.failure("send", dst, err))
 	}
-	b := t.sendBuf[:need]
+}
+
+// encodeDataFrame encodes p as a data frame into buf's backing array,
+// growing it when it is too small, and returns the frame. It panics on a
+// payload over limit words (Send passes maxFrameWords): the peer would
+// reject the frame, and counts beyond 32 bits cannot be encoded at all.
+func encodeDataFrame(buf []byte, p Payload, limit int) []byte {
+	nf, ni := len(p.Floats), len(p.Ints)
+	if nf+ni > limit {
+		panic(fmt.Sprintf("comm: payload of %d floats + %d ints exceeds the %d-word frame limit", nf, ni, limit))
+	}
+	need := 9 + 8*(nf+ni)
+	if cap(buf) < need {
+		buf = make([]byte, need)
+	}
+	b := buf[:need]
 	b[0] = frameData
-	binary.LittleEndian.PutUint32(b[1:5], uint32(len(p.Floats)))
-	binary.LittleEndian.PutUint32(b[5:9], uint32(len(p.Ints)))
+	binary.LittleEndian.PutUint32(b[1:5], uint32(nf))
+	binary.LittleEndian.PutUint32(b[5:9], uint32(ni))
 	off := 9
 	for _, f := range p.Floats {
 		binary.LittleEndian.PutUint64(b[off:], math.Float64bits(f))
@@ -177,9 +229,7 @@ func (t *TCPTransport) Send(dst int, p Payload) {
 		binary.LittleEndian.PutUint64(b[off:], uint64(int64(v)))
 		off += 8
 	}
-	if err := t.writeFrame(dst, b); err != nil {
-		panic(t.failure("send", dst, err))
-	}
+	return b
 }
 
 // writeFrame writes one complete frame under the peer's write mutex.
@@ -243,26 +293,28 @@ func (t *TCPTransport) silence(peer int) time.Duration {
 	return time.Duration(time.Now().UnixNano() - t.lastHeard[peer].Load())
 }
 
-// progressTimer arms the ProgressTimeout watchdog for one blocked
-// operation. A nil timer (and nil channel) means the check is disabled;
-// a nil channel blocks forever in select, which is exactly right.
-func (t *TCPTransport) progressTimer() (*time.Timer, <-chan time.Time) {
-	if t.opts.ProgressTimeout <= 0 {
-		return nil, nil
+// watch arms the ProgressTimeout watchdog for one blocked operation and
+// returns its channel; nil (which blocks forever in select) when the check
+// is disabled. Only the rank goroutine blocks in Recv and Barrier, so one
+// timer serves every operation, and Go 1.23+ timer semantics make Reset
+// and Stop safe without draining the channel.
+func (t *TCPTransport) watch() <-chan time.Time {
+	if t.watchdog == nil {
+		return nil
 	}
-	timer := time.NewTimer(t.opts.ProgressTimeout)
-	return timer, timer.C
+	t.watchdog.Reset(t.opts.ProgressTimeout)
+	return t.watchdog.C
 }
 
 // checkProgress runs when the watchdog fires: if the peer has been silent
 // for a full ProgressTimeout it returns the error to panic with;
 // otherwise it re-arms the timer for the remaining window.
-func (t *TCPTransport) checkProgress(timer *time.Timer, op string, peer int) *PeerError {
+func (t *TCPTransport) checkProgress(op string, peer int) *PeerError {
 	quiet := t.silence(peer)
 	if quiet >= t.opts.ProgressTimeout {
 		return t.failure(op, peer, fmt.Errorf("no frames or heartbeats for %v (progress timeout %v)", quiet.Round(time.Millisecond), t.opts.ProgressTimeout))
 	}
-	timer.Reset(t.opts.ProgressTimeout - quiet)
+	t.watchdog.Reset(t.opts.ProgressTimeout - quiet)
 	return nil
 }
 
@@ -277,9 +329,9 @@ func (t *TCPTransport) Recv(src int) Payload {
 		return p
 	default:
 	}
-	timer, timeout := t.progressTimer()
-	if timer != nil {
-		defer timer.Stop()
+	timeout := t.watch()
+	if timeout != nil {
+		defer t.watchdog.Stop()
 	}
 	for {
 		select {
@@ -301,7 +353,7 @@ func (t *TCPTransport) Recv(src int) Payload {
 			}
 			panic(t.failure("recv", src, nil))
 		case <-timeout:
-			if pe := t.checkProgress(timer, "recv", src); pe != nil {
+			if pe := t.checkProgress("recv", src); pe != nil {
 				panic(pe)
 			}
 		}
@@ -313,7 +365,7 @@ func (t *TCPTransport) Barrier() {
 	for k := uint(0); 1<<k < t.world; k++ {
 		to := (t.rank + 1<<k) % t.world
 		from := (t.rank - 1<<k + t.world) % t.world
-		if err := t.writeFrame(to, []byte{frameBarrier}); err != nil {
+		if err := t.writeFrame(to, barrierFrame); err != nil {
 			panic(t.failure("barrier", to, err))
 		}
 		t.awaitToken(from)
@@ -328,9 +380,9 @@ func (t *TCPTransport) awaitToken(from int) {
 		return
 	default:
 	}
-	timer, timeout := t.progressTimer()
-	if timer != nil {
-		defer timer.Stop()
+	timeout := t.watch()
+	if timeout != nil {
+		defer t.watchdog.Stop()
 	}
 	for {
 		select {
@@ -352,11 +404,23 @@ func (t *TCPTransport) awaitToken(from int) {
 			}
 			panic(t.failure("barrier", from, nil))
 		case <-timeout:
-			if pe := t.checkProgress(timer, "barrier", from); pe != nil {
+			if pe := t.checkProgress("barrier", from); pe != nil {
 				panic(pe)
 			}
 		}
 	}
+}
+
+// EpochTick recycles the receive arena; Comm.EpochDone calls it once per
+// epoch, before its first barrier. At that point the rank has consumed
+// every payload of the epoch, and no peer can send a next-epoch frame
+// until this rank enters the barrier, so no reader goroutine is filling a
+// pooled buffer and no caller still reads one. The first tick also turns
+// pooling on: until then readers decode into fresh slices and the arena
+// holds nothing.
+func (t *TCPTransport) EpochTick() {
+	t.arena.recycle()
+	t.pooling.Store(true)
 }
 
 // Close stops the heartbeat goroutine and shuts the listener and every
@@ -410,6 +474,7 @@ func (t *TCPTransport) heartbeatLoop() {
 // refreshes the peer's last-heard clock.
 func (t *TCPTransport) readLoop(peer int, conn net.Conn) {
 	r := bufio.NewReader(conn)
+	d := newFrameDecoder(r, peer)
 	for {
 		typ, err := r.ReadByte()
 		if err != nil {
@@ -430,7 +495,11 @@ func (t *TCPTransport) readLoop(peer int, conn net.Conn) {
 			}
 			t.raiseAbort(peer, reason)
 		case frameData:
-			p, err := readPayloadBody(r)
+			var arena *bufPool
+			if t.pooling.Load() {
+				arena = t.arena
+			}
+			p, err := d.decode(arena)
 			if err != nil {
 				t.readErr[peer] <- err
 				return
@@ -443,36 +512,75 @@ func (t *TCPTransport) readLoop(peer int, conn net.Conn) {
 	}
 }
 
-// readPayloadBody decodes the body of a data frame. Zero-length sides
-// decode to nil, preserving Payload nil-ness conventions.
-func readPayloadBody(r io.Reader) (Payload, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// frameDecoder decodes the bodies of one connection's data frames in
+// bulk: decodeChunk bytes per read into scratch, converted with
+// binary.LittleEndian straight into the destination slices.
+type frameDecoder struct {
+	r       io.Reader
+	peer    int // the sending rank, for error messages
+	limit   int // the frame ceiling in words: maxFrameWords outside tests
+	scratch []byte
+}
+
+func newFrameDecoder(r io.Reader, peer int) *frameDecoder {
+	return &frameDecoder{r: r, peer: peer, limit: maxFrameWords, scratch: make([]byte, decodeChunk)}
+}
+
+// decode reads one data-frame body (the bytes after the type byte). The
+// destination slices come from arena, or are freshly allocated when arena
+// is nil. The header's counts are checked against the frame ceiling
+// before anything is allocated. Zero-length sides decode to nil,
+// preserving Payload nil-ness conventions.
+func (d *frameDecoder) decode(arena *bufPool) (Payload, error) {
+	hdr := d.scratch[:8]
+	if _, err := io.ReadFull(d.r, hdr); err != nil {
 		return Payload{}, err
 	}
 	nf := binary.LittleEndian.Uint32(hdr[0:4])
 	ni := binary.LittleEndian.Uint32(hdr[4:8])
+	if uint64(nf)+uint64(ni) > uint64(d.limit) {
+		return Payload{}, fmt.Errorf("comm: data frame from rank %d claims %d floats + %d ints, over the %d-word frame limit", d.peer, nf, ni, d.limit)
+	}
 	var p Payload
-	var buf [8]byte
-	if nf > 0 {
-		p.Floats = make([]float64, nf)
-		for i := range p.Floats {
-			if _, err := io.ReadFull(r, buf[:]); err != nil {
-				return Payload{}, err
-			}
-			p.Floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
+	if arena != nil {
+		p.Floats, p.Ints = arena.getFloats(int(nf)), arena.getInts(int(ni))
+	} else {
+		if nf > 0 {
+			p.Floats = make([]float64, nf)
+		}
+		if ni > 0 {
+			p.Ints = make([]int, ni)
 		}
 	}
-	if ni > 0 {
-		p.Ints = make([]int, ni)
-		for i := range p.Ints {
-			if _, err := io.ReadFull(r, buf[:]); err != nil {
-				return Payload{}, err
-			}
-			p.Ints[i] = int(int64(binary.LittleEndian.Uint64(buf[:])))
+	for dst := p.Floats; len(dst) > 0; {
+		b, err := d.chunk(len(dst))
+		if err != nil {
+			return Payload{}, err
 		}
+		for i := range len(b) / 8 {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		dst = dst[len(b)/8:]
+	}
+	for dst := p.Ints; len(dst) > 0; {
+		b, err := d.chunk(len(dst))
+		if err != nil {
+			return Payload{}, err
+		}
+		for i := range len(b) / 8 {
+			dst[i] = int(int64(binary.LittleEndian.Uint64(b[8*i:])))
+		}
+		dst = dst[len(b)/8:]
 	}
 	return p, nil
+}
+
+// chunk reads the next min(words, len(scratch)/8) 8-byte words into
+// scratch and returns them.
+func (d *frameDecoder) chunk(words int) ([]byte, error) {
+	b := d.scratch[:8*min(words, len(d.scratch)/8)]
+	_, err := io.ReadFull(d.r, b)
+	return b, err
 }
 
 // writeString writes a u16-length-prefixed string.
@@ -644,6 +752,11 @@ func DialTCPOpts(coordAddr string, rank, world int, opts TCPOptions) (*TCPTransp
 		ln:      ln,
 		hbStop:  make(chan struct{}),
 		abortCh: make(chan struct{}),
+		arena:   newBufPool(),
+	}
+	if t.opts.ProgressTimeout > 0 {
+		t.watchdog = time.NewTimer(t.opts.ProgressTimeout)
+		t.watchdog.Stop()
 	}
 
 	// Per-peer state is sized after the rendezvous: when world == 0 the

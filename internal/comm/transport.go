@@ -21,9 +21,13 @@ import "fmt"
 // not rendezvous-block — collectives send eagerly and rely on at least
 // mailboxDepth messages of buffering per (src, dst) pair), messages
 // between a (src, dst) pair arrive in order, and the payload handed to
-// Recv's caller must remain valid until the next EpochDone. Barrier must
-// synchronize all ranks. Close releases sockets and goroutines; the
-// in-process fabric has nothing to release.
+// Recv's caller must remain valid until the next EpochDone. A transport
+// may reuse received buffers only from that point on: Comm.EpochDone
+// calls its EpochTick method, when it has one, before the epoch's closing
+// barriers. A transport that is never ticked must keep every received
+// payload valid indefinitely. Barrier must synchronize all ranks. Close
+// releases sockets and goroutines; the in-process fabric has nothing to
+// release.
 type Transport interface {
 	// Rank returns this endpoint's rank in [0, Size).
 	Rank() int
@@ -44,7 +48,8 @@ type Transport interface {
 // inprocTransport is one rank's endpoint on a Cluster's channel fabric.
 // Sends deep-copy through the cluster-wide buffer pool, so received
 // payloads stay valid until EpochDone recycles the pool — the same
-// lifetime the TCP transport provides with per-rank receive arenas.
+// lifetime the TCP transport provides with its per-rank receive arena,
+// recycled in EpochTick.
 type inprocTransport struct {
 	cluster *Cluster
 	rank    int

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/sparse"
@@ -24,30 +25,34 @@ type rankRunner interface {
 	runRanks(p Problem, body func(ops layerOps, cfg nn.Config, prob Problem) error) error
 }
 
-// steadyStateAllocs drives warmup+measured epochs across all ranks of tr
-// in lockstep and returns the average allocations of one full epoch
-// (epoch + endEpoch on every rank).
-func steadyStateAllocs(t *testing.T, tr rankRunner, p Problem, ranks int) float64 {
+// steadyStateAllocs drives warmup+measured epochs across all ranks in
+// lockstep and returns the average allocations of one full epoch (epoch +
+// endEpoch on every rank). Each runner runs on its own goroutine: one
+// in-process trainer drives every rank, while over an external fabric
+// there is one trainer per rank.
+func steadyStateAllocs(t *testing.T, runners []rankRunner, p Problem, ranks int) float64 {
 	t.Helper()
 	const warmup = 3
 	const runs = 5
 	total := warmup + (runs + 1) // AllocsPerRun invokes its func runs+1 times
 	start := make(chan struct{}, ranks)
 	done := make(chan struct{}, ranks)
-	errCh := make(chan error, 1)
-	go func() {
-		errCh <- tr.runRanks(p, func(ops layerOps, cfg nn.Config, prob Problem) error {
-			eng := newEngine(ops, cfg, prob)
-			weights := nn.InitWeights(cfg)
-			for i := 0; i < total; i++ {
-				<-start
-				eng.epoch(weights)
-				ops.endEpoch()
-				done <- struct{}{}
-			}
-			return nil
-		})
-	}()
+	errCh := make(chan error, len(runners))
+	for _, tr := range runners {
+		go func() {
+			errCh <- tr.runRanks(p, func(ops layerOps, cfg nn.Config, prob Problem) error {
+				eng := newEngine(ops, cfg, prob)
+				weights := nn.InitWeights(cfg)
+				for i := 0; i < total; i++ {
+					<-start
+					eng.epoch(weights)
+					ops.endEpoch()
+					done <- struct{}{}
+				}
+				return nil
+			})
+		}()
+	}
 	oneEpoch := func() {
 		for i := 0; i < ranks; i++ {
 			start <- struct{}{}
@@ -60,8 +65,10 @@ func steadyStateAllocs(t *testing.T, tr rankRunner, p Problem, ranks int) float6
 		oneEpoch()
 	}
 	avg := testing.AllocsPerRun(runs, oneEpoch)
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
+	for range runners {
+		if err := <-errCh; err != nil {
+			t.Fatal(err)
+		}
 	}
 	return avg
 }
@@ -152,8 +159,54 @@ func TestSteadyStateAllocsDistributed(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := testProblem(t, 256, 16, 16, 8, 1, 72)
-			if avg := steadyStateAllocs(t, tc.tr, p, tc.ranks); avg != 0 {
+			if avg := steadyStateAllocs(t, []rankRunner{tc.tr}, p, tc.ranks); avg != 0 {
 				t.Fatalf("%s steady-state epoch allocates %.1f times across %d ranks, want 0",
+					tc.name, avg, tc.ranks)
+			}
+		})
+	}
+}
+
+// TestSteadyStateAllocsTCP: over the loopback TCP fabric, with one trainer
+// per rank as in a multi-process run, the steady-state epoch must also
+// allocate nothing — frames decode into the transport's receive arena,
+// recycled at every EpochDone, and the blocked Recv/Barrier path reuses
+// one watchdog timer. The count covers every goroutine in the process:
+// the ranks and the connection readers.
+func TestSteadyStateAllocsTCP(t *testing.T) {
+	release := parallel.AcquireBackend(parallel.BackendSerial)
+	defer release()
+	cases := []struct {
+		name  string
+		newTr func() Trainer
+		ranks int
+	}{
+		{"2d", func() Trainer { return NewTwoD(4, testMach) }, 4},
+		{"1d-halo", func() Trainer { tr := NewOneD(4, testMach); tr.Halo = true; return tr }, 4},
+		{"3d-overlap", func() Trainer { tr := NewThreeD(8, testMach); tr.Overlap = true; return tr }, 8},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			comms, err := comm.LocalTCPComms(tc.ranks, comm.CostParams{Alpha: testMach.Alpha, Beta: testMach.Beta})
+			if err != nil {
+				t.Fatalf("LocalTCPComms: %v", err)
+			}
+			defer func() {
+				for _, c := range comms {
+					c.Transport().Close()
+				}
+			}()
+			runners := make([]rankRunner, tc.ranks)
+			for r := range runners {
+				tr := tc.newTr()
+				if err := SetTransportComm(tr, comms[r]); err != nil {
+					t.Fatal(err)
+				}
+				runners[r] = tr.(rankRunner)
+			}
+			p := testProblem(t, 256, 16, 16, 8, 1, 72)
+			if avg := steadyStateAllocs(t, runners, p, tc.ranks); avg != 0 {
+				t.Fatalf("%s steady-state epoch over TCP allocates %.1f times across %d ranks, want 0",
 					tc.name, avg, tc.ranks)
 			}
 		})
