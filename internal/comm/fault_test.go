@@ -63,6 +63,55 @@ func TestParseFaultPlanRejects(t *testing.T) {
 	}
 }
 
+// FuzzChaosPlan checks the -chaos plan parser on arbitrary input: it
+// never panics, and every plan it accepts re-parses from the comma-joined
+// String() forms of its events to the same events.
+func FuzzChaosPlan(f *testing.F) {
+	for _, spec := range []string{
+		"crash@epoch=3",
+		"crash@op=120",
+		"sever@op=40",
+		"delay@op=10:50ms",
+		"delay@epoch=2:100ms",
+		"delay@op=10:50ms, sever@op=40,crash@epoch=2",
+		"delay@op=1:1h2m3.5s",
+		"",
+		" , ",
+		"crash",
+		"crash@epoch=0",
+		"crash@op=3:5s",
+		"delay@op=4:-5ms",
+		"explode@op=1",
+		"crash@step=3",
+		"crash@op=99999999999999999999",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		plan, err := ParseFaultPlan(spec)
+		if err != nil {
+			return
+		}
+		forms := make([]string, len(plan))
+		for i, ev := range plan {
+			forms[i] = ev.String()
+		}
+		joined := strings.Join(forms, ",")
+		again, err := ParseFaultPlan(joined)
+		if err != nil {
+			t.Fatalf("%q parsed, but its String() form %q does not: %v", spec, joined, err)
+		}
+		if len(again) != len(plan) {
+			t.Fatalf("%q: %d events, re-parse of %q gives %d", spec, len(plan), joined, len(again))
+		}
+		for i := range plan {
+			if again[i] != plan[i] {
+				t.Fatalf("%q: event %d is %+v, re-parse of %q gives %+v", spec, i, plan[i], joined, again[i])
+			}
+		}
+	})
+}
+
 // countTransport is a minimal Transport that records calls, for driving
 // FaultTransport without a fabric.
 type countTransport struct {

@@ -79,6 +79,7 @@ func RMAT(scale int, edgeFactor int, cfg RMATConfig, rng *rand.Rand) *Graph {
 	n := 1 << uint(scale)
 	g := New(n)
 	edges := edgeFactor * n
+	g.Edges = make([][2]int, 0, max(edges, 0))
 	for e := 0; e < edges; e++ {
 		u, v := 0, 0
 		for level := 0; level < scale; level++ {

@@ -280,8 +280,7 @@ func TestAnalogDFRatios(t *testing.T) {
 	// amazon (f >> d) < reddit ≈ protein (d ≈ f).
 	ratios := map[string]float64{}
 	for _, spec := range Analogs {
-		d := spec.Build()
-		a := d.Graph.Adjacency()
+		a := builtAnalogs()[spec.Name].Graph.Adjacency()
 		fAvg := float64(spec.Features+spec.Hidden+spec.Labels) / 3
 		ratios[spec.Name] = a.AvgDegree() / fAvg
 	}

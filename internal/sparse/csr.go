@@ -56,7 +56,13 @@ func ConvertCSR[T dense.Elem](a *CSR) *CSROf[T] {
 }
 
 // NewCSR builds a CSR matrix from coordinate entries. Duplicate (row, col)
-// entries are summed. Entries out of range cause a panic.
+// entries are summed in input order: entries e1, e2, e3 at one coordinate
+// store (e1.Val+e2.Val)+e3.Val. Entries out of range cause a panic.
+//
+// Construction is O(nnz + rows + cols) with a fixed number of allocations:
+// two stable counting sorts, first by column and then by row, put the
+// entries in row-major order with duplicates adjacent and still in input
+// order, and a final pass sums the duplicates into exact-size arrays.
 func NewCSR(rows, cols int, entries []Coord) *CSR {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("sparse: negative dimensions %dx%d", rows, cols))
@@ -66,37 +72,63 @@ func NewCSR(rows, cols int, entries []Coord) *CSR {
 			panic(fmt.Sprintf("sparse: entry (%d,%d) out of range for %dx%d", e.Row, e.Col, rows, cols))
 		}
 	}
-	sorted := make([]Coord, len(entries))
-	copy(sorted, entries)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Row != sorted[j].Row {
-			return sorted[i].Row < sorted[j].Row
-		}
-		return sorted[i].Col < sorted[j].Col
-	})
-	// Sum duplicates in place.
-	dedup := sorted[:0]
-	for _, e := range sorted {
-		if n := len(dedup); n > 0 && dedup[n-1].Row == e.Row && dedup[n-1].Col == e.Col {
-			dedup[n-1].Val += e.Val
-		} else {
-			dedup = append(dedup, e)
-		}
+	nnz := len(entries)
+	// byCol and order are the two passes' permutations of entry indices;
+	// next is the counting sorts' bucket cursor, sized for either pass.
+	idx := make([]int, 2*nnz)
+	byCol, order := idx[:nnz], idx[nnz:]
+	next := make([]int, max(rows, cols)+1)
+
+	for _, e := range entries {
+		next[e.Col+1]++
 	}
-	m := &CSR{
-		Rows:   rows,
-		Cols:   cols,
-		RowPtr: make([]int, rows+1),
-		ColIdx: make([]int, len(dedup)),
-		Val:    make([]float64, len(dedup)),
+	for j := 0; j < cols; j++ {
+		next[j+1] += next[j]
 	}
-	for i, e := range dedup {
-		m.RowPtr[e.Row+1]++
-		m.ColIdx[i] = e.Col
-		m.Val[i] = e.Val
+	for k, e := range entries {
+		byCol[next[e.Col]] = k
+		next[e.Col]++
+	}
+
+	clear(next)
+	for _, e := range entries {
+		next[e.Row+1]++
+	}
+	for i := 0; i < rows; i++ {
+		next[i+1] += next[i]
+	}
+	for _, k := range byCol {
+		r := entries[k].Row
+		order[next[r]] = k
+		next[r]++
+	}
+
+	// Sorted duplicates are adjacent: count the distinct coordinates per
+	// row, then fill exact-size arrays, summing each run in input order.
+	m := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
+	prev := Coord{Row: -1}
+	for _, k := range order {
+		if e := entries[k]; e.Row != prev.Row || e.Col != prev.Col {
+			m.RowPtr[e.Row+1]++
+			prev = e
+		}
 	}
 	for i := 0; i < rows; i++ {
 		m.RowPtr[i+1] += m.RowPtr[i]
+	}
+	m.ColIdx = make([]int, m.RowPtr[rows])
+	m.Val = make([]float64, m.RowPtr[rows])
+	out, prev := -1, Coord{Row: -1}
+	for _, k := range order {
+		e := entries[k]
+		if e.Row == prev.Row && e.Col == prev.Col {
+			m.Val[out] += e.Val
+			continue
+		}
+		out++
+		m.ColIdx[out] = e.Col
+		m.Val[out] = e.Val
+		prev = e
 	}
 	return m
 }
@@ -172,21 +204,33 @@ func (m *CSROf[T]) Transpose() *CSROf[T] {
 
 // ExtractBlock returns the sub-matrix with rows [r0, r1) and columns
 // [c0, c1) re-indexed to local coordinates, as used when distributing a
-// matrix onto a process grid.
+// matrix onto a process grid. A counting pass sizes the block first, so its
+// arrays are allocated once at exactly their length.
 func (m *CSROf[T]) ExtractBlock(r0, r1, c0, c1 int) *CSROf[T] {
 	if r0 < 0 || r1 > m.Rows || c0 < 0 || c1 > m.Cols || r0 > r1 || c0 > c1 {
 		panic(fmt.Sprintf("sparse: ExtractBlock [%d:%d, %d:%d] out of range for %dx%d", r0, r1, c0, c1, m.Rows, m.Cols))
 	}
 	out := &CSROf[T]{Rows: r1 - r0, Cols: c1 - c0, RowPtr: make([]int, r1-r0+1)}
-	for i := r0; i < r1; i++ {
+	// span returns the positions of row i's entries in columns [c0, c1).
+	span := func(i int) (start, end int) {
 		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		start := lo + sort.SearchInts(m.ColIdx[lo:hi], c0)
-		end := lo + sort.SearchInts(m.ColIdx[lo:hi], c1)
-		for k := start; k < end; k++ {
-			out.ColIdx = append(out.ColIdx, m.ColIdx[k]-c0)
-			out.Val = append(out.Val, m.Val[k])
+		cols := m.ColIdx[lo:hi]
+		return lo + sort.SearchInts(cols, c0), lo + sort.SearchInts(cols, c1)
+	}
+	for i := r0; i < r1; i++ {
+		start, end := span(i)
+		out.RowPtr[i-r0+1] = out.RowPtr[i-r0] + end - start
+	}
+	nnz := out.RowPtr[r1-r0]
+	out.ColIdx = make([]int, nnz)
+	out.Val = make([]T, nnz)
+	for i := r0; i < r1; i++ {
+		start, end := span(i)
+		lo := out.RowPtr[i-r0]
+		for k, c := range m.ColIdx[start:end] {
+			out.ColIdx[lo+k] = c - c0
 		}
-		out.RowPtr[i-r0+1] = len(out.ColIdx)
+		copy(out.Val[lo:], m.Val[start:end])
 	}
 	return out
 }

@@ -1,6 +1,9 @@
 package sparse
 
 import (
+	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/dense"
@@ -9,7 +12,10 @@ import (
 // The fuzz layer checks the CSR kernel invariants on arbitrary inputs.
 // Nonzero and dense values are decoded to small integers, so every
 // reference computation is exact and comparisons are bitwise — a
-// mismatch is a real structural bug, never float noise.
+// mismatch is a real structural bug, never float noise. The construction
+// targets also decode each input a second time with non-integer values of
+// mixed magnitude (cooFracFromBytes), where summation order shows in the
+// bits, and compare against input-order accumulation and refNewCSR.
 //
 // Run as fuzzers with
 //
@@ -32,13 +38,169 @@ func cooFromBytes(data []byte, rows, cols int) []Coord {
 	return out
 }
 
+// cooFracFromBytes decodes the same stream as cooFromBytes but with
+// non-integer values spread over eight binary orders of magnitude, so that
+// summing duplicates in a different order changes the result's bits.
+func cooFracFromBytes(data []byte, rows, cols int) []Coord {
+	out := cooFromBytes(data, rows, cols)
+	for k := range out {
+		b := data[3*k+2]
+		out[k].Val = math.Ldexp(float64(int(b)-127)/10, int(b%8)*4)
+	}
+	return out
+}
+
 // dim clamps a fuzzed byte to a usable dimension in [1, 24].
 func dim(b byte) int { return 1 + int(b)%24 }
+
+// refNewCSR is NewCSR's former construction, kept as the bit-exactness
+// oracle: an unstable comparison sort into row-major order followed by an
+// in-place duplicate sum. The sort leaves the order of equal coordinates
+// unspecified, so it agrees with NewCSR bitwise only when no coordinate
+// repeats three or more times (two addends commute exactly).
+func refNewCSR(rows, cols int, entries []Coord) *CSR {
+	sorted := append([]Coord(nil), entries...)
+	sort.Slice(sorted, func(i, j int) bool {
+		if sorted[i].Row != sorted[j].Row {
+			return sorted[i].Row < sorted[j].Row
+		}
+		return sorted[i].Col < sorted[j].Col
+	})
+	dedup := sorted[:0]
+	for _, e := range sorted {
+		if n := len(dedup); n > 0 && dedup[n-1].Row == e.Row && dedup[n-1].Col == e.Col {
+			dedup[n-1].Val += e.Val
+		} else {
+			dedup = append(dedup, e)
+		}
+	}
+	m := &CSR{
+		Rows:   rows,
+		Cols:   cols,
+		RowPtr: make([]int, rows+1),
+		ColIdx: make([]int, len(dedup)),
+		Val:    make([]float64, len(dedup)),
+	}
+	for i, e := range dedup {
+		m.RowPtr[e.Row+1]++
+		m.ColIdx[i] = e.Col
+		m.Val[i] = e.Val
+	}
+	for i := 0; i < rows; i++ {
+		m.RowPtr[i+1] += m.RowPtr[i]
+	}
+	return m
+}
+
+// refNormalizeSymmetric is NormalizeSymmetric's former formulation: append
+// a unit self-loop per row to A's entries, rebuild through refNewCSR
+// (which sums the diagonal pair), then scale by the inverse square roots
+// of the row sums.
+func refNormalizeSymmetric(a *CSR) *CSR {
+	entries := a.Entries()
+	for i := 0; i < a.Rows; i++ {
+		entries = append(entries, Coord{Row: i, Col: i, Val: 1})
+	}
+	ai := refNewCSR(a.Rows, a.Cols, entries)
+	dinv := make([]float64, ai.Rows)
+	for i := range dinv {
+		var s float64
+		for k := ai.RowPtr[i]; k < ai.RowPtr[i+1]; k++ {
+			s += ai.Val[k]
+		}
+		dinv[i] = 1 / math.Sqrt(s)
+	}
+	for i := 0; i < ai.Rows; i++ {
+		for k := ai.RowPtr[i]; k < ai.RowPtr[i+1]; k++ {
+			ai.Val[k] *= dinv[i] * dinv[ai.ColIdx[k]]
+		}
+	}
+	return ai
+}
+
+// equalBits reports whether a and b have identical shape, structure and
+// value bits (so NaNs compare by payload and -0 differs from +0).
+func equalBits(a, b *CSR) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols || !slices.Equal(a.RowPtr, b.RowPtr) || !slices.Equal(a.ColIdx, b.ColIdx) {
+		return false
+	}
+	return slices.EqualFunc(a.Val, b.Val, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// checkInputOrderSums asserts that m stores, for every coordinate of
+// entries, the left-to-right sum of that coordinate's values in input
+// order, bit for bit, and that m agrees with refNewCSR bitwise whenever no
+// coordinate repeats three or more times.
+func checkInputOrderSums(t *testing.T, m *CSR, entries []Coord) {
+	t.Helper()
+	type key struct{ r, c int }
+	sums := make(map[key]float64)
+	copies := make(map[key]int)
+	for _, e := range entries {
+		k := key{e.Row, e.Col}
+		if copies[k] == 0 {
+			sums[k] = e.Val
+		} else {
+			sums[k] += e.Val
+		}
+		copies[k]++
+	}
+	if m.NNZ() != len(sums) {
+		t.Fatalf("nnz %d, want %d distinct coordinates", m.NNZ(), len(sums))
+	}
+	for i := 0; i < m.Rows; i++ {
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			want, ok := sums[key{i, m.ColIdx[k]}]
+			if !ok || math.Float64bits(m.Val[k]) != math.Float64bits(want) {
+				t.Fatalf("(%d,%d) = %v, want input-order sum %v", i, m.ColIdx[k], m.Val[k], want)
+			}
+		}
+	}
+	for _, c := range copies {
+		if c >= 3 {
+			return
+		}
+	}
+	if ref := refNewCSR(m.Rows, m.Cols, entries); !equalBits(m, ref) {
+		t.Fatal("NewCSR differs from the sort-based reference construction")
+	}
+}
+
+// checkExtractBlock asserts that m.ExtractBlock(r0, r1, c0, c1) equals the
+// dense sub-matrix of m, is a valid CSR, and has exact-size arrays.
+func checkExtractBlock(t *testing.T, m *CSR, r0, r1, c0, c1 int) {
+	t.Helper()
+	blk := m.ExtractBlock(r0, r1, c0, c1)
+	if blk.Rows != r1-r0 || blk.Cols != c1-c0 || len(blk.RowPtr) != blk.Rows+1 || blk.RowPtr[blk.Rows] != blk.NNZ() {
+		t.Fatalf("block [%d:%d, %d:%d] has bad shape", r0, r1, c0, c1)
+	}
+	if cap(blk.ColIdx) != len(blk.ColIdx) || cap(blk.Val) != len(blk.Val) || len(blk.ColIdx) != len(blk.Val) {
+		t.Fatalf("block [%d:%d, %d:%d] arrays not exact-size: ColIdx %d/%d, Val %d/%d",
+			r0, r1, c0, c1, len(blk.ColIdx), cap(blk.ColIdx), len(blk.Val), cap(blk.Val))
+	}
+	full, sub := m.ToDense(), blk.ToDense()
+	for i := r0; i < r1; i++ {
+		for j := c0; j < c1; j++ {
+			if got, want := sub.At(i-r0, j-c0), full.At(i, j); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("block [%d:%d, %d:%d] at (%d,%d) = %v, want %v", r0, r1, c0, c1, i, j, got, want)
+			}
+		}
+	}
+	for i := 0; i < blk.Rows; i++ {
+		for k := blk.RowPtr[i]; k < blk.RowPtr[i+1]; k++ {
+			if k > blk.RowPtr[i] && blk.ColIdx[k] <= blk.ColIdx[k-1] {
+				t.Fatalf("block [%d:%d, %d:%d] row %d columns not strictly increasing", r0, r1, c0, c1, i)
+			}
+		}
+	}
+}
 
 // FuzzCSRFromCOO checks the COO→CSR construction invariants: valid,
 // strictly sorted CSR structure; exact duplicate summation against a
 // dense reference; Entries/NewCSR and Transpose/Transpose round-trips;
-// and full-range ExtractBlock identity.
+// full-range ExtractBlock identity and a fuzzed sub-range against the
+// dense reference. With non-integer values it checks input-order
+// duplicate summation bitwise and agreement with refNewCSR.
 func FuzzCSRFromCOO(f *testing.F) {
 	f.Add([]byte{}, byte(1), byte(1))
 	f.Add([]byte{0, 0, 1, 0, 0, 2, 3, 4, 5}, byte(4), byte(6))
@@ -94,6 +256,45 @@ func FuzzCSRFromCOO(f *testing.F) {
 		// Extracting the full range is the identity.
 		if blk := m.ExtractBlock(0, rows, 0, cols); !Equal(m, blk, 0) {
 			t.Fatal("full-range ExtractBlock differs")
+		}
+		// A sub-range derived from the input, possibly empty.
+		r0 := len(data) % (rows + 1)
+		r1 := r0 + int(rb/24)%(rows-r0+1)
+		c0 := len(data) / 3 % (cols + 1)
+		c1 := c0 + int(cb/24)%(cols-c0+1)
+		checkExtractBlock(t, m, r0, r1, c0, c1)
+
+		checkInputOrderSums(t, m, entries)
+		frac := cooFracFromBytes(data, rows, cols)
+		fm := NewCSR(rows, cols, frac)
+		checkInputOrderSums(t, fm, frac)
+		checkExtractBlock(t, fm, r0, r1, c0, c1)
+	})
+}
+
+// FuzzNormalizeSymmetric checks that the one-pass self-loop merge is
+// bit-identical to the former Entries + self-loops + refNewCSR
+// formulation on arbitrary square matrices, including ones with stored
+// diagonal entries, negative and non-integer values.
+func FuzzNormalizeSymmetric(f *testing.F) {
+	f.Add([]byte{}, byte(1))
+	f.Add([]byte{0, 1, 8, 1, 0, 8, 1, 2, 8, 2, 1, 8}, byte(3))
+	f.Add([]byte{0, 0, 9, 1, 1, 200, 2, 2, 7, 0, 2, 131}, byte(3))
+	f.Add([]byte{3, 3, 10, 3, 3, 250, 3, 3, 17, 0, 3, 40, 3, 0, 40}, byte(6))
+	// Row 4 holds three off-diagonal values of mixed magnitude plus the
+	// self-loop, so its degree depends on summation order.
+	f.Add([]byte{49, 48, 254, 49, 50, 35, 49, 56, 35}, byte(52))
+	f.Fuzz(func(t *testing.T, data []byte, nb byte) {
+		n := dim(nb)
+		for _, entries := range [][]Coord{cooFromBytes(data, n, n), cooFracFromBytes(data, n, n)} {
+			a := NewCSR(n, n, entries)
+			got := NormalizeSymmetric(a)
+			if want := refNormalizeSymmetric(a); !equalBits(got, want) {
+				t.Fatalf("NormalizeSymmetric differs from the reference formulation on %dx%d", n, n)
+			}
+			if got.NNZ() > a.NNZ()+n || got.NNZ() < a.NNZ() {
+				t.Fatalf("nnz %d outside [nnz(A), nnz(A)+n] = [%d, %d]", got.NNZ(), a.NNZ(), a.NNZ()+n)
+			}
 		}
 	})
 }
