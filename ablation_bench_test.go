@@ -7,23 +7,16 @@ package cagnet
 //	                               Aᵀ→A transpose exchange (the cost a 2x
 //	                               memory budget would erase, §IV-A-7)
 //	BenchmarkAblationReplication — 1.5D replication factor sweep (§IV-B)
-//	BenchmarkAblationGridAspect  — rectangular-grid forward cost (§IV-C-6)
-//	BenchmarkAblationPermutation — random-permutation load balance (§I)
-//	BenchmarkAblationHypersparse — CSR vs DCSR storage for 2D blocks (§VI-a)
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/graph"
 	"repro/internal/harness"
 	"repro/internal/nn"
-	"repro/internal/partition"
-	"repro/internal/sparse"
 )
 
 func BenchmarkAblationTranspose(b *testing.B) {
@@ -75,69 +68,4 @@ func BenchmarkAblationReplication(b *testing.B) {
 			b.ReportMetric(float64(c), "replication")
 		})
 	}
-}
-
-func BenchmarkAblationGridAspect(b *testing.B) {
-	ds := benchDataset(b, "protein-sim")
-	a := ds.Graph.Adjacency()
-	w := costmodel.Workload{
-		N: ds.Graph.NumVertices, NNZ: int64(a.NNZ()),
-		F: (float64(ds.FeatureLen()) + float64(ds.Hidden) + float64(ds.NumLabels)) / 3, Layers: 3,
-	}
-	for _, aspect := range [][2]int{{8, 8}, {16, 4}, {32, 2}, {4, 16}} {
-		b.Run(fmt.Sprintf("%dx%d", aspect[0], aspect[1]), func(b *testing.B) {
-			var words float64
-			for i := 0; i < b.N; i++ {
-				words = costmodel.TwoDRect(w, aspect[0], aspect[1]).Words
-			}
-			b.ReportMetric(words, "fwd-words")
-		})
-	}
-}
-
-// BenchmarkAblationHypersparse measures the storage ratio of CSR to DCSR
-// for 2D-partitioned adjacency blocks as P grows: hypersparsity makes the
-// CSR row-pointer array the dominant cost at scale (§VI-a).
-func BenchmarkAblationHypersparse(b *testing.B) {
-	ds := benchDataset(b, "amazon-sim")
-	a := ds.Graph.NormalizedAdjacency()
-	for _, p := range []int{16, 64, 256} {
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			grid := partition.NewSquareGrid(p)
-			rows := partition.NewBlock1D(a.Rows, grid.Pr)
-			cols := partition.NewBlock1D(a.Cols, grid.Pc)
-			var csrW, dcsrW int64
-			var emptyFrac float64
-			for i := 0; i < b.N; i++ {
-				csrW, dcsrW = 0, 0
-				emptyRows, totalRows := 0, 0
-				for gi := 0; gi < grid.Pr; gi++ {
-					for gj := 0; gj < grid.Pc; gj++ {
-						blk := a.ExtractBlock(rows.Lo(gi), rows.Hi(gi), cols.Lo(gj), cols.Hi(gj))
-						d := sparse.DCSRFromCSR(blk)
-						csrW += d.CSRWords()
-						dcsrW += d.Words()
-						emptyRows += blk.Rows - d.NonEmptyRows()
-						totalRows += blk.Rows
-					}
-				}
-				emptyFrac = float64(emptyRows) / float64(totalRows)
-			}
-			b.ReportMetric(float64(csrW)/float64(dcsrW), "csr/dcsr-words")
-			b.ReportMetric(100*emptyFrac, "empty-rows-%")
-		})
-	}
-}
-
-func BenchmarkAblationPermutation(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	cfg := graph.RMATConfig{A: 0.57, B: 0.19, C: 0.19, Noise: 0}
-	g := graph.RMAT(12, 16, cfg, rng)
-	grid := partition.NewGrid2D(4, 4)
-	var before, after partition.LoadBalance
-	for i := 0; i < b.N; i++ {
-		before, after = partition.PermutedBalance(g, grid, rng)
-	}
-	b.ReportMetric(before.Imbalance, "imbalance-natural")
-	b.ReportMetric(after.Imbalance, "imbalance-permuted")
 }

@@ -6,8 +6,8 @@ package cagnet
 // figure data:
 //
 //	BenchmarkTableVI          — Table VI dataset characteristics
-//	BenchmarkFig2             — Figure 2 epoch throughput (epochs/sec)
-//	BenchmarkFig3             — Figure 3 per-epoch category breakdown
+//	BenchmarkFig2             — Figure 2 epoch throughput (epochs/sec) and
+//	                            Figure 3 per-epoch category breakdown
 //	BenchmarkPartitionEdgecut — §IV-A-8 partitioning comparison
 //	BenchmarkCrossover        — §VI-d 1D/2D word crossover
 //	BenchmarkThreeD           — §IV-D algorithm family comparison
@@ -93,8 +93,10 @@ func BenchmarkTableVI(b *testing.B) {
 	}
 }
 
-// BenchmarkFig2 regenerates Figure 2: 2D epoch throughput per dataset per
-// GPU count, as modeled epochs/sec on the Summit-like profile.
+// BenchmarkFig2 regenerates Figure 2 — 2D epoch throughput per dataset per
+// GPU count, as modeled epochs/sec on the Summit-like profile — and, from
+// the same runs, Figure 3's per-epoch modeled time breakdown (misc,
+// trpose, dcomm, scomm, spmm).
 func BenchmarkFig2(b *testing.B) {
 	for _, name := range harness.Fig2Datasets {
 		for _, p := range harness.Fig2Sweeps[name] {
@@ -110,26 +112,6 @@ func BenchmarkFig2(b *testing.B) {
 				}
 				b.ReportMetric(m.Throughput(), "epochs/sec")
 				b.ReportMetric(m.EpochTime, "model-s/epoch")
-			})
-		}
-	}
-}
-
-// BenchmarkFig3 regenerates Figure 3: the per-epoch modeled time breakdown
-// (misc, trpose, dcomm, scomm, spmm) of the 2D implementation.
-func BenchmarkFig3(b *testing.B) {
-	for _, name := range harness.Fig2Datasets {
-		for _, p := range harness.Fig2Sweeps[name] {
-			b.Run(fmt.Sprintf("%s/P=%d", name, p), func(b *testing.B) {
-				ds := benchDataset(b, name)
-				var m harness.EpochMeasurement
-				var err error
-				for i := 0; i < b.N; i++ {
-					m, err = harness.MeasureEpoch(ds, "2d", p, costmodel.SummitSim)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
 				for _, cat := range comm.AllCategories {
 					b.ReportMetric(m.TimeByCat[cat], string(cat)+"-s")
 				}
@@ -385,7 +367,6 @@ func BenchmarkEpochSerialWide(b *testing.B) {
 	}{
 		{"reference", core.KernelOptions{Reference: true}},
 		{"default", core.KernelOptions{}},
-		{"auto", core.KernelOptions{Format: sparse.FormatAuto}},
 		{"f32", core.KernelOptions{Precision: core.PrecisionF32}},
 	}
 	spec := graph.AnalogSpec{
@@ -431,9 +412,12 @@ func BenchmarkEpochTwoD(b *testing.B) { benchmarkEpochs(b, "2d", 4) }
 // ratios next to the paper's reported values.
 func BenchmarkScaling(b *testing.B) {
 	var rows []harness.ScalingRow
-	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = harness.Scaling(benchOpts())
+		ms, err := harness.Fig2(benchOpts())
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows, err = harness.Scaling(ms)
 		if err != nil {
 			b.Fatal(err)
 		}

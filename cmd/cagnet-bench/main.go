@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strconv"
 
 	"repro/internal/comm"
@@ -77,31 +78,10 @@ func main() {
 		Halo: *halo, Partitioner: *partitioner, Overlap: *overlap,
 	}
 
-	runners := map[string]func(harness.Options) (any, error){
-		"tableVI":     runTableVI,
-		"fig2":        runFig2,
-		"fig3":        runFig3,
-		"partition":   runPartition,
-		"crossover":   runCrossover,
-		"algo3d":      runAlgo3D,
-		"overlap":     runOverlap,
-		"kernels":     runKernels,
-		"scaling":     runScaling,
-		"convergence": runConvergence,
-		"transport":   runTransport,
-		"fault":       runFault,
-	}
-	order := []string{"tableVI", "fig2", "fig3", "partition", "crossover", "algo3d", "overlap", "kernels", "scaling", "convergence", "transport", "fault"}
-
-	snapshot := benchSnapshot{
-		Machine: mach.Name, Quick: *quick, Optimizer: *optimizer,
-		Halo: *halo, Partitioner: *partitioner, Overlap: *overlap,
-		Experiments: map[string]any{},
-	}
-	selected := order
+	selected := experimentOrder
 	if *exp != "all" {
-		if _, ok := runners[*exp]; !ok {
-			log.Fatalf("unknown experiment %q (want all, %v)", *exp, order)
+		if !slices.Contains(experimentOrder, *exp) {
+			log.Fatalf("unknown experiment %q (want all, %v)", *exp, experimentOrder)
 		}
 		selected = []string{*exp}
 	}
@@ -110,12 +90,14 @@ func main() {
 	if err := validateConsumed(explicit, selected); err != nil {
 		log.Fatal(err)
 	}
-	for _, name := range selected {
-		data, err := runners[name](opts)
-		if err != nil {
-			log.Fatalf("%s: %v", name, err)
-		}
-		snapshot.Experiments[name] = data
+	results, err := runExperiments(opts, selected)
+	if err != nil {
+		log.Fatal(err)
+	}
+	snapshot := benchSnapshot{
+		Machine: mach.Name, Quick: *quick, Optimizer: *optimizer,
+		Halo: *halo, Partitioner: *partitioner, Overlap: *overlap,
+		Experiments: results,
 	}
 	if *jsonPath != "" {
 		if err := writeSnapshot(*jsonPath, snapshot); err != nil {
@@ -123,6 +105,45 @@ func main() {
 		}
 		log.Printf("wrote %s", *jsonPath)
 	}
+}
+
+// experimentOrder lists every experiment in the order -exp all runs them.
+var experimentOrder = []string{"tableVI", "fig2", "fig3", "partition", "crossover", "algo3d", "overlap", "kernels", "scaling", "convergence", "transport", "fault"}
+
+// runExperiments runs the selected experiments in order, printing each
+// table, and returns the snapshot entries keyed by experiment. fig2, fig3
+// and scaling share one measurement of the Figure 2 sweep, stored once
+// under "fig2"; fig3 and scaling only render views of it.
+func runExperiments(o harness.Options, selected []string) (map[string]any, error) {
+	sweep := &fig2Sweep{}
+	runners := map[string]func(harness.Options) (any, error){
+		"tableVI":     runTableVI,
+		"fig2":        sweep.runFigure2,
+		"fig3":        sweep.runFigure3,
+		"partition":   runPartition,
+		"crossover":   runCrossover,
+		"algo3d":      runAlgo3D,
+		"overlap":     runOverlap,
+		"kernels":     runKernels,
+		"scaling":     sweep.runScaling,
+		"convergence": runConvergence,
+		"transport":   runTransport,
+		"fault":       runFault,
+	}
+	out := map[string]any{}
+	for _, name := range selected {
+		data, err := runners[name](o)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		if data != nil {
+			out[name] = data
+		}
+	}
+	if sweep.rows != nil {
+		out["fig2"] = sweep.rows
+	}
+	return out, nil
 }
 
 // flagConsumers maps each opt-in measurement flag to the experiments that
@@ -197,12 +218,30 @@ func runTableVI(o harness.Options) (any, error) {
 	return rows, nil
 }
 
-func runFig2(o harness.Options) (any, error) {
-	ms, err := harness.Fig2(o)
+// fig2Sweep holds the Figure 2 sweep, measured at most once per
+// invocation: Figure 3 and the §VI scaling observations read the same rows.
+type fig2Sweep struct {
+	rows []harness.EpochMeasurement
+}
+
+// measure returns the sweep's rows in panel order, running it on first use.
+func (s *fig2Sweep) measure(o harness.Options) ([]harness.EpochMeasurement, error) {
+	if s.rows == nil {
+		ms, err := harness.Fig2(o)
+		if err != nil {
+			return nil, err
+		}
+		harness.SortMeasurements(ms)
+		s.rows = ms
+	}
+	return s.rows, nil
+}
+
+func (s *fig2Sweep) runFigure2(o harness.Options) (any, error) {
+	ms, err := s.measure(o)
 	if err != nil {
 		return nil, err
 	}
-	harness.SortMeasurements(ms)
 	fmt.Println("== Figure 2: epoch throughput of the 2D implementation ==")
 	var cells [][]string
 	for _, m := range ms {
@@ -216,12 +255,13 @@ func runFig2(o harness.Options) (any, error) {
 	return ms, nil
 }
 
-func runFig3(o harness.Options) (any, error) {
-	ms, err := harness.Fig3(o)
+// runFigure3 renders the Figure 2 rows as Figure 3's category breakdown. It
+// returns no snapshot data of its own: the rows are stored under "fig2".
+func (s *fig2Sweep) runFigure3(o harness.Options) (any, error) {
+	ms, err := s.measure(o)
 	if err != nil {
 		return nil, err
 	}
-	harness.SortMeasurements(ms)
 	fmt.Println("== Figure 3: per-epoch time breakdown of the 2D implementation ==")
 	var cells [][]string
 	for _, m := range ms {
@@ -238,7 +278,7 @@ func runFig3(o harness.Options) (any, error) {
 	}
 	header = append(header, "total")
 	fmt.Println(harness.Table(header, cells))
-	return ms, nil
+	return nil, nil
 }
 
 func runPartition(o harness.Options) (any, error) {
@@ -357,21 +397,20 @@ func runKernels(o harness.Options) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	fmt.Println("== Kernel dispatch: wall-clock epoch time per precision/format/fusion choice ==")
+	fmt.Println("== Kernels: wall-clock epoch time per kernel configuration ==")
 	var cells [][]string
 	for _, r := range rows {
 		cells = append(cells, []string{
-			r.Name, r.Dataset, r.Precision, r.Format,
-			strconv.FormatBool(r.Fused), strconv.FormatBool(r.Unrolled),
+			r.Name, r.Dataset, r.Precision,
 			harness.FormatFloat(r.WallSecPerEpoch),
 			harness.FormatFloat(r.Speedup),
 		})
 	}
 	fmt.Println(harness.Table(
-		[]string{"config", "dataset", "precision", "format", "fused", "unrolled", "wall s/epoch", "speedup"}, cells))
+		[]string{"config", "dataset", "precision", "wall s/epoch", "speedup"}, cells))
 	fmt.Println("speedups are measured against the f64-reference baseline (the scalar")
-	fmt.Println("one-source kernels) in the same process; f64 rows are bit-identical to")
-	fmt.Println("it, f32 and unrolled rows are tolerance-validated.")
+	fmt.Println("one-source kernels) in the same process; the f64 row is bit-identical")
+	fmt.Println("to it, the f32 row is tolerance-validated.")
 	fmt.Println()
 	return rows, nil
 }
@@ -395,8 +434,12 @@ func runConvergence(o harness.Options) (any, error) {
 	return rows, nil
 }
 
-func runScaling(o harness.Options) (any, error) {
-	rows, err := harness.Scaling(o)
+func (s *fig2Sweep) runScaling(o harness.Options) (any, error) {
+	ms, err := s.measure(o)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := harness.Scaling(ms)
 	if err != nil {
 		return nil, err
 	}

@@ -15,12 +15,6 @@ func TestValidateFlagsRejections(t *testing.T) {
 		"overlap with serial": {algo: "serial", overlap: true},
 		"precision with 1d":   {algo: "1d", precision: "f32"},
 		"precision with 2d":   {algo: "2d", precision: "f32"},
-		"format with 2d":      {algo: "2d", format: "bcsr"},
-		"format with 1.5d":    {algo: "1.5d", format: "sell"},
-		"fused with 2d":       {algo: "2d", fused: "off"},
-		"fused with 3d":       {algo: "3d", fused: "off"},
-		"unrolled with 2d":    {algo: "2d", unrolled: true},
-		"unrolled with 1d":    {algo: "1d", unrolled: true},
 		"tcp with serial":     {algo: "serial", transport: "tcp"},
 		"unknown transport":   {algo: "2d", transport: "quic"},
 	}
@@ -37,7 +31,7 @@ func TestValidateFlagsAccepts(t *testing.T) {
 		"defaults":            {algo: "2d"},
 		"row options on 1d":   {algo: "1d", halo: true, partitioner: "ldg", overlap: true},
 		"row options on 1.5d": {algo: "1.5d", halo: true, overlap: true},
-		"kernels on serial":   {algo: "serial", precision: "f32", format: "auto", fused: "off", unrolled: true},
+		"precision on serial": {algo: "serial", precision: "f32"},
 		"tcp on 2d":           {algo: "2d", transport: "tcp"},
 		"inproc explicit":     {algo: "3d", transport: "inproc"},
 	}

@@ -699,19 +699,14 @@ func (co *Coordinator) Serve() error {
 		}
 		members[rank] = member{conn: conn, addr: addr}
 	}
+	addrs := make([]string, co.world)
+	for rank := range addrs {
+		addrs[rank] = members[rank].addr
+	}
 	for rank := 0; rank < co.world; rank++ {
-		m := members[rank]
-		w := bufio.NewWriter(m.conn)
-		var hdr [5]byte
-		hdr[0] = framePeers
-		binary.LittleEndian.PutUint32(hdr[1:5], uint32(co.world))
-		if _, err := w.Write(hdr[:]); err != nil {
+		w := bufio.NewWriter(members[rank].conn)
+		if err := writePeersFrame(w, addrs); err != nil {
 			return fmt.Errorf("comm: coordinator: answering rank %d: %w", rank, err)
-		}
-		for peer := 0; peer < co.world; peer++ {
-			if err := writeString(w, members[peer].addr); err != nil {
-				return fmt.Errorf("comm: coordinator: answering rank %d: %w", rank, err)
-			}
 		}
 		if err := w.Flush(); err != nil {
 			return fmt.Errorf("comm: coordinator: answering rank %d: %w", rank, err)
@@ -802,7 +797,7 @@ func DialTCPOpts(coordAddr string, rank, world int, opts TCPOptions) (*TCPTransp
 }
 
 // rendezvous dials the coordinator, announces this rank's data address,
-// and returns the full rank→address table.
+// and returns the full rank→address table, whose length becomes t.world.
 func (t *TCPTransport) rendezvous(coordAddr string) ([]string, error) {
 	deadline := time.Now().Add(t.opts.RendezvousTimeout)
 	var conn net.Conn
@@ -850,34 +845,65 @@ func (t *TCPTransport) rendezvous(coordAddr string) ([]string, error) {
 		return nil, fmt.Errorf("comm: rank %d hello: %w", t.rank, err)
 	}
 
-	r := bufio.NewReader(conn)
-	typ, err := r.ReadByte()
-	if err != nil || typ != framePeers {
-		return nil, fmt.Errorf("comm: rank %d: bad peers frame (type %q, err %v) — stale generation or dead coordinator", t.rank, typ, err)
+	peers, err := readPeersFrame(bufio.NewReader(conn), t.rank, t.world)
+	if err != nil {
+		return nil, err
 	}
-	var cnt [4]byte
-	if _, err := io.ReadFull(r, cnt[:]); err != nil {
-		return nil, fmt.Errorf("comm: rank %d: short peers frame: %w", t.rank, err)
+	t.world = len(peers)
+	return peers, nil
+}
+
+// writePeersFrame writes the coordinator's answer to a hello: the peers
+// frame carrying the rank→address table.
+func writePeersFrame(w io.Writer, addrs []string) error {
+	var hdr [5]byte
+	hdr[0] = framePeers
+	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(addrs)))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
 	}
-	got := int(binary.LittleEndian.Uint32(cnt[:]))
+	for _, addr := range addrs {
+		if err := writeString(w, addr); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// peersPrealloc caps the peers table's initial capacity: beyond it the
+// table grows only as address entries arrive.
+const peersPrealloc = 64
+
+// readPeersFrame decodes the coordinator's peers frame: a type byte, a u32
+// rank count, then one u16-length-prefixed address per rank. world == 0
+// adopts the announced count (which must cover rank); otherwise the count
+// must equal world. The table grows only as entries arrive, so a frame
+// that announces more ranks than it carries fails at its end having
+// allocated no more than it delivered.
+func readPeersFrame(r io.Reader, rank, world int) ([]string, error) {
+	var hdr [5]byte
+	if _, err := io.ReadFull(r, hdr[:1]); err != nil || hdr[0] != framePeers {
+		return nil, fmt.Errorf("comm: rank %d: bad peers frame (type %q, err %v) — stale generation or dead coordinator", rank, hdr[0], err)
+	}
+	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
+		return nil, fmt.Errorf("comm: rank %d: short peers frame: %w", rank, err)
+	}
+	got := int(binary.LittleEndian.Uint32(hdr[1:]))
 	switch {
-	case t.world == 0 && got > 0:
-		// Membership negotiation: adopt the coordinator's world size.
-		if t.rank >= got {
-			return nil, fmt.Errorf("comm: rank %d out of range for negotiated world %d", t.rank, got)
-		}
-		t.world = got
-	case got != t.world:
-		return nil, fmt.Errorf("comm: rank %d: coordinator world %d, want %d", t.rank, got, t.world)
+	case world == 0 && got == 0:
+		return nil, fmt.Errorf("comm: rank %d: coordinator announced world %d", rank, got)
+	case world == 0 && rank >= got:
+		return nil, fmt.Errorf("comm: rank %d out of range for negotiated world %d", rank, got)
+	case world != 0 && got != world:
+		return nil, fmt.Errorf("comm: rank %d: coordinator world %d, want %d", rank, got, world)
 	}
-	if t.world <= 0 {
-		return nil, fmt.Errorf("comm: rank %d: coordinator announced world %d", t.rank, got)
-	}
-	peers := make([]string, t.world)
-	for i := range peers {
-		if peers[i], err = readString(r); err != nil {
-			return nil, fmt.Errorf("comm: rank %d: peers table: %w", t.rank, err)
+	peers := make([]string, 0, min(got, peersPrealloc))
+	for len(peers) < got {
+		addr, err := readString(r)
+		if err != nil {
+			return nil, fmt.Errorf("comm: rank %d: peers table entry %d of %d: %w", rank, len(peers), got, err)
 		}
+		peers = append(peers, addr)
 	}
 	return peers, nil
 }

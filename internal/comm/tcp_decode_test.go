@@ -3,10 +3,13 @@ package comm
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // FuzzPayloadFrame feeds arbitrary bytes to the data-frame decoder as a
@@ -251,6 +254,99 @@ func TestTCPReceiveArena(t *testing.T) {
 		a := trs[1].arena
 		if len(a.usedF)+len(a.usedI)+len(a.freeF)+len(a.freeI) != 0 {
 			t.Fatal("an unticked transport retained receive buffers")
+		}
+	})
+}
+
+// peersFrame encodes addrs as the coordinator's peers frame.
+func peersFrame(t testing.TB, addrs ...string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := writePeersFrame(&buf, addrs); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestPeersFrame pins the peers-frame decoder's accept and reject cases:
+// a fixed world must match the announced count, an adopting rank (world 0)
+// must fall inside it, and every truncation is an error.
+func TestPeersFrame(t *testing.T) {
+	addrs := []string{"127.0.0.1:4000", "127.0.0.1:4001", "[::1]:4002"}
+	frame := peersFrame(t, addrs...)
+	for _, world := range []int{0, 3} {
+		got, err := readPeersFrame(bytes.NewReader(frame), 2, world)
+		if err != nil {
+			t.Fatalf("world %d: %v", world, err)
+		}
+		if strings.Join(got, ",") != strings.Join(addrs, ",") {
+			t.Fatalf("world %d: table %q, want %q", world, got, addrs)
+		}
+	}
+	rejects := map[string]struct {
+		frame       []byte
+		rank, world int
+	}{
+		"world mismatch":    {frame, 0, 4},
+		"rank outside":      {frame, 3, 0},
+		"empty world":       {peersFrame(t), 0, 0},
+		"wrong frame type":  {append([]byte{frameHello}, frame[1:]...), 0, 0},
+		"no frame":          {nil, 0, 0},
+		"short count":       {frame[:3], 0, 0},
+		"truncated table":   {frame[:len(frame)-1], 0, 0},
+		"missing last addr": {frame[:len(frame)-len(addrs[2])-2], 0, 3},
+	}
+	for name, tc := range rejects {
+		if got, err := readPeersFrame(bytes.NewReader(tc.frame), tc.rank, tc.world); err == nil {
+			t.Errorf("%s: accepted %q", name, got)
+		}
+	}
+}
+
+// TestPeersFrameHugeCount: a peers frame that announces 2³²−1 ranks and
+// then ends must fail at once, having allocated no more than the entries it
+// delivered — not a table sized by the announced count (≈64 GiB).
+func TestPeersFrameHugeCount(t *testing.T) {
+	frame := []byte{framePeers, 0xff, 0xff, 0xff, 0xff}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	_, err := readPeersFrame(bytes.NewReader(frame), 0, 0)
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.EOF) {
+		t.Fatalf("want an EOF error, got %v", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Fatalf("decoding a 5-byte frame allocated %d bytes", alloc)
+	}
+	if elapsed > time.Second {
+		t.Fatalf("decoding a 5-byte frame took %v", elapsed)
+	}
+}
+
+// FuzzPeersFrame feeds arbitrary bytes to the peers-frame decoder, for a
+// rank that adopts the announced world (world 0) and for one that fixes
+// it. The decoder must never panic, and a table it accepts has exactly the
+// announced length and re-encodes to the bytes it consumed. The seed
+// corpus (testdata/fuzz/FuzzPeersFrame) holds a valid table, a truncated
+// one and a 2³²−1 count.
+func FuzzPeersFrame(f *testing.F) {
+	f.Fuzz(func(t *testing.T, frame []byte, world uint8) {
+		r := bytes.NewReader(frame)
+		peers, err := readPeersFrame(r, 0, int(world))
+		if err != nil {
+			return
+		}
+		if announced := int(binary.LittleEndian.Uint32(frame[1:5])); len(peers) != announced {
+			t.Fatalf("accepted %d entries, frame announced %d", len(peers), announced)
+		}
+		if world != 0 && len(peers) != int(world) {
+			t.Fatalf("accepted %d entries for world %d", len(peers), world)
+		}
+		consumed := frame[:len(frame)-r.Len()]
+		if re := peersFrame(t, peers...); !bytes.Equal(re, consumed) {
+			t.Fatalf("table re-encodes to %x, consumed %x", re, consumed)
 		}
 	})
 }

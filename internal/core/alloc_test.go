@@ -6,7 +6,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/nn"
 	"repro/internal/parallel"
-	"repro/internal/sparse"
 )
 
 // This file asserts the PR-4 tentpole: after a warm-up epoch has populated
@@ -75,8 +74,8 @@ func steadyStateAllocs(t *testing.T, runners []rankRunner, p Problem, ranks int)
 
 // TestSteadyStateAllocsSerial: the serial trainer's epoch must allocate
 // nothing once the workspace and transpose plan are warm — for every kernel
-// dispatch configuration: fused/unfused, each sparse format, the unrolled
-// GEMM variant, and the float32 mixed-precision path.
+// configuration: the default fused f64 path, the float32 mixed-precision
+// path, and the reference scalar kernels.
 func TestSteadyStateAllocsSerial(t *testing.T) {
 	release := parallel.AcquireBackend(parallel.BackendSerial)
 	defer release()
@@ -85,12 +84,7 @@ func TestSteadyStateAllocsSerial(t *testing.T) {
 		o    KernelOptions
 	}{
 		{"default", KernelOptions{}},
-		{"unfused", KernelOptions{Fused: "off"}},
-		{"unrolled", KernelOptions{Unrolled: true, Fused: "off"}},
-		{"bcsr", KernelOptions{Format: sparse.FormatBCSR}},
-		{"sell", KernelOptions{Format: sparse.FormatSELL}},
 		{"f32", KernelOptions{Precision: PrecisionF32}},
-		{"f32-sell-unrolled", KernelOptions{Precision: PrecisionF32, Format: sparse.FormatSELL, Unrolled: true, Fused: "off"}},
 		{"reference", KernelOptions{Reference: true}},
 	}
 	for _, tc := range cases {
@@ -99,10 +93,10 @@ func TestSteadyStateAllocsSerial(t *testing.T) {
 			cfg := p.Config.WithDefaults()
 			var ops layerOps
 			if tc.o.precision() == PrecisionF32 {
-				ops = newMixedOps(cfg, p, tc.o)
+				ops = newMixedOps(cfg, p)
 			} else {
 				sops := newSerialOps(cfg, p.A, p.Features, p.Labels, p.TrainMask, p.lossNormalizer())
-				sops.configure(tc.o)
+				sops.ref = tc.o.Reference
 				ops = sops
 			}
 			eng := newEngine(ops, cfg, p)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/nn"
 	"repro/internal/parallel"
-	"repro/internal/sparse"
 )
 
 // Engine-level epoch benchmarks: unlike the Train-based benchmarks in the
@@ -47,10 +46,9 @@ func BenchmarkEngineEpochSerial(b *testing.B) {
 }
 
 // BenchmarkEngineEpochKernels measures the warmed steady-state epoch for
-// every kernel dispatch configuration (precision, sparse format, fusion,
-// unrolling, and the reference scalar baseline). Every sub-benchmark must
-// report 0 B/op — the 0-alloc guarantee covers each dispatch path, not just
-// the default.
+// every kernel configuration (f64 default, f32 mixed precision, and the
+// reference scalar baseline). Every sub-benchmark must report 0 B/op — the
+// 0-alloc guarantee covers each dispatch path, not just the default.
 func BenchmarkEngineEpochKernels(b *testing.B) {
 	configs := []struct {
 		name string
@@ -58,12 +56,7 @@ func BenchmarkEngineEpochKernels(b *testing.B) {
 	}{
 		{"reference", KernelOptions{Reference: true}},
 		{"default", KernelOptions{}},
-		{"unfused", KernelOptions{Fused: "off"}},
-		{"unrolled", KernelOptions{Unrolled: true, Fused: "off"}},
-		{"bcsr", KernelOptions{Format: sparse.FormatBCSR}},
-		{"sell", KernelOptions{Format: sparse.FormatSELL}},
 		{"f32", KernelOptions{Precision: PrecisionF32}},
-		{"f32-sell", KernelOptions{Precision: PrecisionF32, Format: sparse.FormatSELL}},
 	}
 	release := parallel.AcquireBackend(parallel.BackendSerial)
 	defer release()
@@ -73,10 +66,10 @@ func BenchmarkEngineEpochKernels(b *testing.B) {
 			cfg := p.Config.WithDefaults()
 			var ops layerOps
 			if tc.o.precision() == PrecisionF32 {
-				ops = newMixedOps(cfg, p, tc.o)
+				ops = newMixedOps(cfg, p)
 			} else {
 				sops := newSerialOps(cfg, p.A, p.Features, p.Labels, p.TrainMask, p.lossNormalizer())
-				sops.configure(tc.o)
+				sops.ref = tc.o.Reference
 				ops = sops
 			}
 			eng := newEngine(ops, cfg, p)

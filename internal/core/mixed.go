@@ -25,14 +25,10 @@ import (
 // values, keeps the real float32 state keyed by layer index, and returns
 // genuine float64 matrices exactly where the engine reads them.
 type mixedOps struct {
-	cfg    nn.Config
-	choice KernelChoice
+	cfg nn.Config
 
-	fused    bool
-	unrolled bool
-
-	at32   *sparse.CSROf[float32]   // explicit Aᵀ for the forward aggregation
-	kern   sparse.KernelOf[float32] // format-dispatched A for the backward aggregation
+	at32   *sparse.CSROf[float32] // explicit Aᵀ for the forward aggregation
+	a32    *sparse.CSROf[float32] // A for the backward aggregation
 	labels []int
 	mask   []bool
 	norm   int
@@ -43,7 +39,7 @@ type mixedOps struct {
 	// Persistent typed state: converted input features (h32[0]), per-layer
 	// weight/gradient buffers, and the f64 output of the final gather.
 	h32   []*dense.Of[float32] // H^l this epoch (h32[0] is the converted input)
-	z32   []*dense.Of[float32] // Z^l this epoch (unset for fused ReLU layers)
+	z32   []*dense.Of[float32] // Z^l this epoch (unset for ReLU layers)
 	w32   []*dense.Of[float32] // W^l downcast from the f64 master weights
 	dw32  []*dense.Of[float32]
 	dw64  []*dense.Matrix // f64 weight gradients handed to the optimizer
@@ -60,42 +56,27 @@ type mixedOps struct {
 	hdr *dense.Matrix // shared opaque handle for all f32-internal returns
 }
 
-// newMixedOps builds the float32 layerOps for p with kernel options o
-// (o.Precision is PrecisionF32; format/fused/unrolled apply as in the f64
-// path).
-func newMixedOps(cfg nn.Config, p Problem, o KernelOptions) *mixedOps {
+// newMixedOps builds the float32 layerOps for p. ReLU layers run the
+// fused epilogues, as in the f64 path.
+func newMixedOps(cfg nn.Config, p Problem) *mixedOps {
 	a := p.A
 	L := cfg.Layers()
 	m := &mixedOps{
-		cfg:      cfg,
-		fused:    o.fused(),
-		unrolled: o.Unrolled,
-		labels:   p.Labels,
-		mask:     p.TrainMask,
-		norm:     p.lossNormalizer(),
-		ws:       dense.NewWorkspaceOf[float32](),
-		cnt:      make([]float64, 8),
-		h32:      make([]*dense.Of[float32], L+1),
-		z32:      make([]*dense.Of[float32], L+1),
-		w32:      make([]*dense.Of[float32], L),
-		dw32:     make([]*dense.Of[float32], L),
-		dw64:     make([]*dense.Matrix, L),
-		out64:    dense.New(a.Rows, cfg.Widths[L]),
-		hdr:      &dense.Matrix{},
-	}
-	m.at32 = sparse.ConvertCSR[float32](a.Transpose())
-	a32 := sparse.ConvertCSR[float32](a)
-	f := o.Format
-	if f == "" {
-		f = sparse.FormatCSR
-	}
-	kern, _ := sparse.SelectKernel(a32, maxHiddenWidth(cfg), f)
-	m.kern = kern
-	m.choice = KernelChoice{
-		Precision: PrecisionF32,
-		Format:    string(kern.Format()),
-		Fused:     m.fused,
-		Unrolled:  m.unrolled,
+		cfg:    cfg,
+		at32:   sparse.ConvertCSR[float32](a.Transpose()),
+		a32:    sparse.ConvertCSR[float32](a),
+		labels: p.Labels,
+		mask:   p.TrainMask,
+		norm:   p.lossNormalizer(),
+		ws:     dense.NewWorkspaceOf[float32](),
+		cnt:    make([]float64, 8),
+		h32:    make([]*dense.Of[float32], L+1),
+		z32:    make([]*dense.Of[float32], L+1),
+		w32:    make([]*dense.Of[float32], L),
+		dw32:   make([]*dense.Of[float32], L),
+		dw64:   make([]*dense.Matrix, L),
+		out64:  dense.New(a.Rows, cfg.Widths[L]),
+		hdr:    &dense.Matrix{},
 	}
 	m.h32[0] = dense.NewOf[float32](a.Rows, cfg.Widths[0])
 	dense.Convert(m.h32[0], p.Features)
@@ -109,7 +90,7 @@ func newMixedOps(cfg nn.Config, p Problem, o KernelOptions) *mixedOps {
 
 // fusedReLU reports whether layer l runs the fused ReLU epilogues.
 func (m *mixedOps) fusedReLU(l int) bool {
-	return m.fused && m.cfg.Activation(l).Name() == "relu"
+	return m.cfg.Activation(l).Name() == "relu"
 }
 
 func (m *mixedOps) rank() int { return 0 }
@@ -145,8 +126,6 @@ func (m *mixedOps) activationForward(act dense.Activation, _ *dense.Matrix, l in
 	z := m.z32[l]
 	h := m.ws.GetUninit(z.Rows, z.Cols)
 	switch act.Name() {
-	case "relu":
-		dense.ReLUForwardOf(h, z)
 	case "log_softmax":
 		dense.LogSoftmaxForwardOf(h, z)
 	case "identity":
@@ -178,8 +157,8 @@ func (m *mixedOps) activationBackward(act dense.Activation, _, _ *dense.Matrix, 
 	g := m.ws.GetUninit(m.dh32.Rows, m.dh32.Cols)
 	switch act.Name() {
 	case "relu":
-		// Mask on H^l: bit-identical to masking on Z^l, and H^l exists on
-		// both the fused and unfused forward paths.
+		// Mask on H^l (an output-layer ReLU; hidden ReLU layers were
+		// masked by inputGrad): bit-identical to masking on Z^l.
 		dense.ReLUBackwardOf(g, m.dh32, m.h32[l])
 	case "log_softmax":
 		dense.LogSoftmaxBackwardOf(g, m.dh32, m.z32[l])
@@ -194,7 +173,7 @@ func (m *mixedOps) activationBackward(act dense.Activation, _, _ *dense.Matrix, 
 
 func (m *mixedOps) backwardAggregate(_ *dense.Matrix, l int) *dense.Matrix {
 	ag := m.ws.GetUninit(m.at32.Rows, m.cfg.Widths[l])
-	m.kern.SpMM(ag, m.g32)
+	sparse.SpMM(ag, m.a32, m.g32)
 	m.ag32 = ag
 	return m.hdr
 }
@@ -212,8 +191,6 @@ func (m *mixedOps) inputGrad(_, _ *dense.Matrix, l int) *dense.Matrix {
 	case m.fusedReLU(l-1) && m.h32[l-1] != nil:
 		dense.MulTReLUMask(dH, m.ag32, m.w32[l-1], m.h32[l-1])
 		m.maskedAhead = l - 1
-	case m.unrolled:
-		dense.MulTUnrolled(dH, m.ag32, m.w32[l-1])
 	default:
 		dense.MulT(dH, m.ag32, m.w32[l-1])
 	}

@@ -12,14 +12,11 @@ import (
 // point accumulation errors" as serial PyTorch, §V-A).
 //
 // It is also the only trainer that accepts non-default KernelOptions
-// (sparse format, precision, fusion, unrolling) via SetKernelOptions.
+// (f32 precision, reference kernels) via SetKernelOptions.
 type Serial struct {
 	// Kernel selects the compute kernels; the zero value is the default
 	// f64/CSR/fused configuration. Set via SetKernelOptions.
 	Kernel KernelOptions
-	// choice records what the last Train resolved the options to (the auto
-	// format selector's pick, defaults filled in).
-	choice KernelChoice
 }
 
 // NewSerial returns the serial reference trainer.
@@ -39,12 +36,10 @@ func (s *Serial) Train(p Problem) (*Result, error) {
 	}
 	cfg := p.Config.WithDefaults()
 	if s.Kernel.precision() == PrecisionF32 {
-		ops := newMixedOps(cfg, p, s.Kernel)
-		s.choice = ops.choice
-		return newEngine(ops, cfg, p).meta("serial", 1).run()
+		return newEngine(newMixedOps(cfg, p), cfg, p).meta("serial", 1).run()
 	}
 	ops := newSerialOps(cfg, p.A, p.Features, p.Labels, p.TrainMask, p.lossNormalizer())
-	s.choice = ops.configure(s.Kernel)
+	ops.ref = s.Kernel.Reference
 	return newEngine(ops, cfg, p).meta("serial", 1).run()
 }
 
@@ -60,7 +55,6 @@ type serialOps struct {
 	cfg    nn.Config
 	a      *sparse.CSR
 	at     *sparse.TransposePlan // plan for the Aᵀ·X forward products
-	kern   sparse.Kernel         // non-CSR format for A·G (nil = direct CSR)
 	h0     *dense.Matrix
 	labels []int
 	mask   []bool
@@ -68,15 +62,11 @@ type serialOps struct {
 	ws     *dense.Workspace
 	cnt    []float64
 
-	// Kernel dispatch state (see KernelOptions). fused folds the ReLU
-	// epilogue into the weight multiply and the ReLU mask into the
-	// input-gradient multiply — both bit-identical to the separate passes.
-	// unrolled swaps the input-gradient dot products for the
-	// 4-accumulator variant (tolerance-validated, opt-in).
-	fused    bool
-	unrolled bool
 	// ref swaps every multiply for the pre-optimization reference kernels
-	// (see KernelOptions.Reference); it forces fused off.
+	// (see KernelOptions.Reference) and runs the separate activation
+	// passes. Otherwise ReLU layers fold their epilogue into the weight
+	// multiply and their mask into the input-gradient multiply — both
+	// bit-identical to the separate passes.
 	ref bool
 	// hs[l] is H^l as produced this epoch, kept so inputGrad(l+1) can
 	// apply the fused ReLU mask (relu(z) > 0 ⟺ z > 0). maskedAhead names
@@ -93,44 +83,8 @@ func newSerialOps(cfg nn.Config, a *sparse.CSR, h0 *dense.Matrix, labels []int, 
 		cfg: cfg, a: a, at: sparse.NewTransposePlan(a), h0: h0,
 		labels: labels, mask: mask, norm: norm,
 		ws: dense.NewWorkspace(), cnt: make([]float64, 8),
-		fused: true, hs: make([]*dense.Matrix, cfg.Layers()+1),
+		hs: make([]*dense.Matrix, cfg.Layers()+1),
 	}
-}
-
-// configure applies kernel options (Serial.Train calls it right after
-// construction) and returns the resolved choice. A non-CSR format builds the
-// dispatch kernel for the backward aggregation A·G; the forward Aᵀ·X keeps
-// its transpose plan regardless (none of the formats index the transpose).
-func (s *serialOps) configure(o KernelOptions) KernelChoice {
-	s.fused = o.fused()
-	s.unrolled = o.Unrolled
-	if o.Reference {
-		s.ref, s.fused = true, false
-	}
-	choice := KernelChoice{
-		Precision: PrecisionF64,
-		Format:    string(sparse.FormatCSR),
-		Fused:     s.fused,
-		Unrolled:  s.unrolled,
-	}
-	if f := o.Format; f != "" && f != sparse.FormatCSR {
-		k, _ := sparse.SelectKernel(s.a, maxHiddenWidth(s.cfg), f)
-		if k.Format() != sparse.FormatCSR {
-			s.kern = k
-		}
-		choice.Format = string(k.Format())
-	}
-	return choice
-}
-
-// maxHiddenWidth is the widest operand the backward aggregation multiplies —
-// the dense-column count the format selector's cost model sees.
-func maxHiddenWidth(cfg nn.Config) int {
-	w := 0
-	for l := 1; l <= cfg.Layers(); l++ {
-		w = max(w, cfg.Widths[l])
-	}
-	return w
 }
 
 // retarget points the ops at a new subproblem (the mini-batch trainer's
@@ -140,7 +94,6 @@ func maxHiddenWidth(cfg nn.Config) int {
 // per-step subgraphs use the direct scatter kernel instead.
 func (s *serialOps) retarget(a *sparse.CSR, h0 *dense.Matrix, labels []int, mask []bool, norm int) {
 	s.a, s.at, s.h0 = a, nil, h0
-	s.kern = nil // per-step subgraphs don't amortize a format conversion either
 	s.labels, s.mask, s.norm = labels, mask, norm
 }
 
@@ -154,7 +107,7 @@ func (s *serialOps) setH(l int, h *dense.Matrix) {
 
 // fusedReLU reports whether layer l runs the fused ReLU epilogues.
 func (s *serialOps) fusedReLU(l int) bool {
-	return s.fused && s.cfg.Activation(l).Name() == "relu"
+	return !s.ref && s.cfg.Activation(l).Name() == "relu"
 }
 
 func (s *serialOps) rank() int { return 0 }
@@ -226,8 +179,6 @@ func (s *serialOps) backwardAggregate(g *dense.Matrix, l int) *dense.Matrix {
 	switch {
 	case s.ref:
 		sparse.RefSpMM(ag, s.a, g)
-	case s.kern != nil:
-		s.kern.SpMM(ag, g)
 	default:
 		sparse.SpMM(ag, s.a, g)
 	}
@@ -254,8 +205,6 @@ func (s *serialOps) inputGrad(ag, w *dense.Matrix, l int) *dense.Matrix {
 		// by ReLU.Backward.
 		dense.MulTReLUMask(dH, ag, w, s.hs[l-1])
 		s.maskedAhead = l - 1
-	case s.unrolled:
-		dense.MulTUnrolled(dH, ag, w)
 	default:
 		dense.MulT(dH, ag, w)
 	}

@@ -25,7 +25,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/partition"
 	"repro/internal/sampling"
-	"repro/internal/sparse"
 )
 
 // Options configures experiment runs.
@@ -227,7 +226,8 @@ var Fig2Sweeps = map[string][]int{
 var Fig2Datasets = []string{"amazon-sim", "reddit-sim", "protein-sim"}
 
 // Fig2 measures 2D epoch throughput across GPU counts for each dataset
-// panel of Figure 2.
+// panel of Figure 2. Figure 3's per-category breakdown and the §VI scaling
+// observations are views of the same rows.
 func Fig2(o Options) ([]EpochMeasurement, error) {
 	o = o.WithDefaults()
 	var out []EpochMeasurement
@@ -247,10 +247,6 @@ func Fig2(o Options) ([]EpochMeasurement, error) {
 	}
 	return out, nil
 }
-
-// Fig3 returns the same sweep as Fig2; callers render the per-category
-// breakdown (Figure 3 shares its runs with Figure 2).
-func Fig3(o Options) ([]EpochMeasurement, error) { return Fig2(o) }
 
 // TableVIRow pairs a dataset analog with the paper-scale characteristics
 // it models.
@@ -699,13 +695,9 @@ type ScalingRow struct {
 	Paper    float64
 }
 
-// Scaling extracts the §VI-a/b/c observations from Figure 3 measurements.
-func Scaling(o Options) ([]ScalingRow, error) {
-	o = o.WithDefaults()
-	ms, err := Fig3(o)
-	if err != nil {
-		return nil, err
-	}
+// Scaling extracts the §VI-a/b/c observations from the Figure 2 sweep's
+// measurements (Fig2's rows, in any order).
+func Scaling(ms []EpochMeasurement) ([]ScalingRow, error) {
 	at := func(dataset string, p int) (EpochMeasurement, bool) {
 		for _, m := range ms {
 			if m.Dataset == dataset && m.P == p {
@@ -799,28 +791,21 @@ func FormatFloat(v float64) string {
 	}
 }
 
-// KernelRow is one configuration of the kernel-dispatch sweep: a serial
-// training run under an explicit precision/format/fused/unrolled selection,
-// timed by wall clock. Name and the four choice fields identify the row;
-// wall_sec_per_epoch is informational (it moves with the host), while
-// Speedup — the ratio against the f64-reference baseline (the
-// pre-optimization scalar kernels) measured in the same process — is what
-// the perf gate watches.
+// KernelRow is one configuration of the kernel sweep: a serial training run
+// under an explicit kernel selection, timed by wall clock. Name and
+// Precision identify the row. Every value moves with the host, so
+// cagnet-benchdiff reports the kernels experiment without gating it.
 type KernelRow struct {
 	Name    string `json:"name"`
 	Dataset string `json:"dataset"`
-	// Precision, Format, Fused, Unrolled echo the resolved KernelChoice
-	// (for "auto" requests, Format is whatever the cost model picked).
+	// Precision is "f64" or "f32".
 	Precision string `json:"precision"`
-	Format    string `json:"format"`
-	Fused     bool   `json:"fused"`
-	Unrolled  bool   `json:"unrolled"`
 	// WallSecPerEpoch is the best-of-rounds differenced wall clock of one
-	// steady-state epoch (setup, format conversion, and the final gather
-	// excluded). Host-dependent, so never gated.
+	// steady-state epoch (setup, precision conversion, and the final
+	// gather excluded).
 	WallSecPerEpoch float64 `json:"wall_sec_per_epoch"`
-	// Speedup is the baseline (f64-unfused) wall clock over this row's: a
-	// same-host ratio, gated against regression by cagnet-benchdiff.
+	// Speedup is the baseline (f64-reference) wall clock over this row's,
+	// measured in the same process.
 	Speedup float64 `json:"Speedup"`
 }
 
@@ -832,19 +817,15 @@ var kernelConfigs = []struct {
 	name string
 	o    core.KernelOptions
 }{
-	{"f64-reference", core.KernelOptions{Reference: true}},
-	{"f64-unfused", core.KernelOptions{Fused: "off"}},
-	{"f64-fused", core.KernelOptions{}},
-	{"f64-fused-auto", core.KernelOptions{Format: sparse.FormatAuto}},
-	{"f64-unrolled", core.KernelOptions{Fused: "off", Unrolled: true}},
+	{"f64-reference", core.KernelOptions{Precision: core.PrecisionF64, Reference: true}},
+	{"f64-fused", core.KernelOptions{Precision: core.PrecisionF64}},
 	{"f32-fused", core.KernelOptions{Precision: core.PrecisionF32}},
-	{"f32-fused-auto", core.KernelOptions{Precision: core.PrecisionF32, Format: sparse.FormatAuto}},
 }
 
 // kernelSweepSpec is the sweep's dataset: a wide-feature R-MAT analog
 // (f = 256, the regime the paper's SpMM/GEMM costs scale with) large enough
 // that the per-vertex matrices spill the last-level cache — the memory-bound
-// regime the precision and blocking options target. Quick mode steps down
+// regime the f32 precision option targets. Quick mode steps down
 // one scale (still cache-spilling) and trims epochs, not the regime.
 func kernelSweepSpec(quick bool) graph.AnalogSpec {
 	spec := graph.AnalogSpec{
@@ -861,7 +842,7 @@ func kernelSweepSpec(quick bool) graph.AnalogSpec {
 // configuration and reports each as a speedup over the f64-reference
 // baseline (the pre-optimization scalar kernels).
 // Per-epoch cost is measured by differencing (1+E)-epoch and 1-epoch runs —
-// excluding setup, format conversion, and the output gather — and taking the
+// excluding setup, precision conversion, and the output gather — and taking the
 // best of several rounds to shed scheduler noise.
 func KernelSweep(o Options) ([]KernelRow, error) {
 	o = o.WithDefaults()
@@ -870,31 +851,29 @@ func KernelSweep(o Options) ([]KernelRow, error) {
 	if o.Quick {
 		epochs, rounds = 3, 2
 	}
-	run := func(ko core.KernelOptions, ep int) (float64, core.KernelChoice, error) {
+	run := func(ko core.KernelOptions, ep int) (float64, error) {
 		tr := core.NewSerial()
 		if err := core.SetKernelOptions(tr, ko); err != nil {
-			return 0, core.KernelChoice{}, err
+			return 0, err
 		}
 		problem := problemFor(ds, ep)
 		start := time.Now()
 		if _, err := tr.Train(problem); err != nil {
-			return 0, core.KernelChoice{}, err
+			return 0, err
 		}
-		return time.Since(start).Seconds(), core.ChoiceOf(tr), nil
+		return time.Since(start).Seconds(), nil
 	}
-	measure := func(ko core.KernelOptions) (float64, core.KernelChoice, error) {
+	measure := func(ko core.KernelOptions) (float64, error) {
 		best := math.Inf(1)
-		var choice core.KernelChoice
 		for r := 0; r < rounds; r++ {
-			t1, _, err := run(ko, 1)
+			t1, err := run(ko, 1)
 			if err != nil {
-				return 0, choice, err
+				return 0, err
 			}
-			t2, c, err := run(ko, 1+epochs)
+			t2, err := run(ko, 1+epochs)
 			if err != nil {
-				return 0, choice, err
+				return 0, err
 			}
-			choice = c
 			per := (t2 - t1) / float64(epochs)
 			if per <= 0 {
 				// Noise swamped the differencing; fall back to the mean.
@@ -904,18 +883,16 @@ func KernelSweep(o Options) ([]KernelRow, error) {
 				best = per
 			}
 		}
-		return best, choice, nil
+		return best, nil
 	}
 	rows := make([]KernelRow, 0, len(kernelConfigs))
 	for _, cfg := range kernelConfigs {
-		wall, choice, err := measure(cfg.o)
+		wall, err := measure(cfg.o)
 		if err != nil {
 			return nil, fmt.Errorf("harness: kernel sweep %s: %w", cfg.name, err)
 		}
 		rows = append(rows, KernelRow{
-			Name: cfg.name, Dataset: ds.Name,
-			Precision: choice.Precision, Format: choice.Format,
-			Fused: choice.Fused, Unrolled: choice.Unrolled,
+			Name: cfg.name, Dataset: ds.Name, Precision: cfg.o.Precision,
 			WallSecPerEpoch: wall,
 		})
 	}

@@ -327,7 +327,11 @@ func TestScalingQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness sweep in -short mode")
 	}
-	rows, err := Scaling(quick)
+	ms, err := Fig2(quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := Scaling(ms)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,6 @@
 package partition
 
-import (
-	"math/rand"
-
-	"repro/internal/graph"
-	"repro/internal/sparse"
-)
+import "repro/internal/sparse"
 
 // LoadBalance quantifies the §I claim that the 2D/3D algorithms "address
 // load balance through a combination of random vertex permutations and the
@@ -39,37 +34,4 @@ func BlockNNZBalance(a *sparse.CSR, grid Grid2D) LoadBalance {
 		lb.Imbalance = float64(lb.MaxNNZ) / ideal
 	}
 	return lb
-}
-
-// RowBlockNNZBalance measures per-block nonzero balance of a 1D block-row
-// partition of a.
-func RowBlockNNZBalance(a *sparse.CSR, p int) LoadBalance {
-	rows := NewBlock1D(a.Rows, p)
-	lb := LoadBalance{MinNNZ: a.NNZ() + 1}
-	for i := 0; i < p; i++ {
-		nnz := 0
-		for r := rows.Lo(i); r < rows.Hi(i); r++ {
-			nnz += a.RowNNZ(r)
-		}
-		if nnz > lb.MaxNNZ {
-			lb.MaxNNZ = nnz
-		}
-		if nnz < lb.MinNNZ {
-			lb.MinNNZ = nnz
-		}
-	}
-	ideal := float64(a.NNZ()) / float64(p)
-	if ideal > 0 {
-		lb.Imbalance = float64(lb.MaxNNZ) / ideal
-	}
-	return lb
-}
-
-// PermutedBalance applies a random vertex permutation to g and reports 2D
-// block balance before and after — the paper's load-balance recipe.
-func PermutedBalance(g *graph.Graph, grid Grid2D, rng *rand.Rand) (before, after LoadBalance) {
-	before = BlockNNZBalance(g.Adjacency(), grid)
-	pg, _ := g.PermuteVertices(rng)
-	after = BlockNNZBalance(pg.Adjacency(), grid)
-	return before, after
 }
